@@ -17,7 +17,6 @@ import sys
 import time
 
 from .core.mig import Mig
-from .core.simulate import check_equivalence
 from .database import NpnDatabase
 from .exact.synthesis import synthesize_exact
 from .generators import CONTROL_SPECS, GENERATORS, resolve_generator
@@ -28,6 +27,7 @@ from .io.verilog import write_verilog
 from .mapping.mapper import map_mig
 from .opt.depth_opt import optimize_depth
 from .rewriting.engine import VARIANTS, functional_hashing
+from .runtime.verify import verify_rewrite
 
 __all__ = ["main"]
 
@@ -67,6 +67,25 @@ def _dump_metrics(path: str, payload: dict) -> None:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(text + "\n")
         print(f"metrics written to {path}")
+
+
+def _print_equivalence(before: Mig, after: Mig, unproven: int) -> bool:
+    """Print the final equivalence line; returns False on a refutation.
+
+    ``OK`` only for a proof: exhaustive simulation of a narrow network,
+    or no *unproven* step between *before* and *after*.  A wide network
+    that sampling does not refute is reported with its unproven steps.
+    """
+    report = verify_rewrite(before, after, mode="sim")
+    if report.refuted:
+        print("equivalence: FAILED")
+        return False
+    if report.equivalent or unproven == 0:
+        print("equivalence: OK")
+    else:
+        steps = "step" if unproven == 1 else "steps"
+        print(f"equivalence: not refuted (sampled; {unproven} {steps} unproven)")
+    return True
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -763,11 +782,8 @@ def main(argv: list[str] | None = None) -> int:
             store.close()
         if args.metrics:
             _dump_metrics(args.metrics, stats.metrics.to_dict())
-        if args.verify:
-            ok = check_equivalence(baseline, optimized)
-            print(f"equivalence: {'OK' if ok else 'FAILED'}")
-            if not ok:
-                return 1
+        if args.verify and not _print_equivalence(baseline, optimized, 1):
+            return 1
         if args.output:
             _write_network(optimized, args.output)
             print(f"written to {args.output}")
@@ -826,9 +842,13 @@ def main(argv: list[str] | None = None) -> int:
             summary = ", ".join(f"{s.step}={s.status}" for s in bad)
             print(f"degraded steps: {summary}")
         if args.verify != "off":
-            ok = check_equivalence(mig, result)
-            print(f"equivalence: {'OK' if ok else 'FAILED'}")
-            if not ok:
+            # Steps that kept their result each link the chain from the
+            # input to the result; the chain is a proof when all are proved.
+            unproven = sum(
+                1 for step in history
+                if step.status == "ok" and step.proved is not True
+            )
+            if not _print_equivalence(mig, result, unproven):
                 return 1
         if args.output:
             _write_network(result, args.output)

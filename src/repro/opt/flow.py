@@ -69,6 +69,9 @@ class FlowStepStats:
     status: str = "ok"
     #: how the step was verified: "off", "exhaustive", "sampled", "cec"
     verified: str = "off"
+    #: the verification verdict: True proved equivalent, False refuted,
+    #: None unproven (sampled only, out of budget, or not verified)
+    proved: bool | None = None
     #: diagnostic for non-ok statuses (exception text, counterexample)
     error: str | None = None
     #: hot-path counters, populated for functional-hashing steps
@@ -197,7 +200,7 @@ def run_flow(
     ``on_error="raise"`` propagates step exceptions and raises
     :class:`~repro.runtime.errors.VerificationFailed` on a detected
     miscompile.  *sat_backend* (``internal``/``auto``/``portfolio``)
-    selects the solver lanes raced by ``verify="cec"`` miters; one
+    selects the solver lanes raced by ``verify="cec"`` queries; one
     portfolio is shared across all steps so its per-lane event counters
     accumulate into each step's metrics.  *cut_limit* overrides the rewriters' per-node cut cap
     for every functional-hashing step (the batch runtime's degradation
@@ -233,6 +236,7 @@ def run_flow(
         verified: str = "off",
         error: str | None = None,
         metrics: PassMetrics | None = None,
+        proved: bool | None = None,
     ) -> None:
         stats = FlowStepStats(
             step=step,
@@ -243,6 +247,7 @@ def run_flow(
             runtime=time.perf_counter() - start,
             status=status,
             verified=verified,
+            proved=proved,
             error=error,
             metrics=metrics,
         )
@@ -254,6 +259,9 @@ def run_flow(
                 pass
         if verbose:
             flag = "" if status == "ok" else f" [{status}]"
+            if verified in ("exhaustive", "sampled", "cec"):
+                verdict = {True: "proved", False: "refuted", None: "unproven"}
+                flag += f" {verified}: {verdict[proved]}"
             print(
                 f"  {step:10} {stats.size_before}/{stats.depth_before} -> "
                 f"{stats.size_after}/{stats.depth_after} ({stats.runtime:.2f}s){flag}"
@@ -314,11 +322,15 @@ def run_flow(
             if report.counterexample is not None:
                 error += f"; counterexample {report.counterexample}"
             record(
-                step, current, start, "rolled-back", report.method, error, metrics
+                step, current, start, "rolled-back", report.method, error,
+                metrics, proved=False,
             )
             continue
 
-        record(step, nxt, start, "ok", report.method, metrics=metrics)
+        record(
+            step, nxt, start, "ok", report.method, metrics=metrics,
+            proved=report.equivalent,
+        )
         current = nxt
     return current, history
 

@@ -9,8 +9,8 @@ Complements the functional-hashing rewriter with network-level hygiene:
   antivalent) gates, detected by exhaustive simulation.  Exact and safe
   for networks of up to 14 primary inputs; the global-simulation table is
   the proof of equivalence.  (Large networks rely on structural hashing
-  and rewriting; SAT-based fraiging over cone miters is provided by
-  :mod:`repro.sat.cec` for spot checks.)
+  and rewriting; SAT sweeping for any width is :mod:`repro.opt.fraig`,
+  run by :mod:`repro.sat.sweep`.)
 """
 
 from __future__ import annotations

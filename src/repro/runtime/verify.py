@@ -8,7 +8,7 @@ the network and to the remaining :class:`~repro.runtime.budget.Budget`:
   trivial cost (the same path ``check_equivalence`` uses);
 * **sampled simulation** first, then **budgeted SAT CEC** via
   :mod:`repro.sat.cec` for wide networks — sampling refutes cheap bugs in
-  microseconds, the miter proves equivalence when the budget allows.
+  microseconds, SAT sweeping proves equivalence when the budget allows.
 
 :func:`verify_rewrite` returns a :class:`VerificationReport`;
 ``equivalent`` is ``True`` (proved), ``False`` (refuted, counterexample
@@ -63,12 +63,14 @@ def verify_rewrite(
 
     *mode* selects the policy: ``"off"`` skips verification, ``"sim"``
     uses simulation only (exhaustive when narrow enough, sampled
-    otherwise), ``"cec"`` escalates wide networks from sampling to a
-    budgeted SAT miter for a definitive answer.
+    otherwise), ``"cec"`` escalates wide networks from sampling to
+    budgeted SAT-sweeping CEC for a definitive answer.  *cec_conflict_cap*
+    (and the *budget*'s remaining conflicts) caps the total over all of
+    the sweep's queries.
 
     *sat_backend* (a mode string or a shared
     :class:`~repro.sat.portfolio.PortfolioSolver`) selects which solver
-    lanes the CEC miter races; simulation paths ignore it.
+    lanes the CEC queries race; simulation paths ignore it.
     """
     if mode not in ("off", "sim", "cec"):
         raise ValueError(f"unknown verification mode {mode!r}; use off/sim/cec")
@@ -86,7 +88,7 @@ def verify_rewrite(
         # Sampling cannot prove equivalence; report inconclusive-positive.
         return VerificationReport(None, "sampled")
 
-    # mode == "cec": budgeted SAT miter.
+    # mode == "cec": budgeted SAT sweeping.
     from ..sat.cec import check_equivalence_sat
 
     conflict_budget = (

@@ -274,6 +274,7 @@ def run_job(spec: JobSpec) -> dict:
                         "step": stats.step,
                         "status": stats.status,
                         "verified": stats.verified,
+                        "proved": stats.proved,
                         "runtime": round(stats.runtime, 6),
                         "size_after": stats.size_after,
                         "depth_after": stats.depth_after,
@@ -297,6 +298,7 @@ def run_job(spec: JobSpec) -> dict:
                 "step": stats.step,
                 "status": stats.status,
                 "verified": stats.verified,
+                "proved": stats.proved,
                 "runtime": round(stats.runtime, 6),
                 "size_after": stats.size_after,
                 "depth_after": stats.depth_after,

@@ -1,7 +1,7 @@
 """Pluggable SAT solver backends (ROADMAP item 3, docs/ROBUSTNESS.md).
 
 The in-tree CDCL solver (:mod:`repro.sat.solver`) is the trustworthy
-default, but deep UNSAT proofs — size-4+ exact synthesis, CEC miters —
+default, but deep UNSAT proofs — size-4+ exact synthesis, hard CEC queries —
 are exactly where industrial solvers (kissat, CaDiCaL) are orders of
 magnitude stronger.  This module defines the seam between the two
 worlds:
@@ -128,7 +128,7 @@ def validate_model(
     every clause and every assumption.
 
     This is the trust boundary for external SAT answers: O(total
-    literals), so validating even a CEC-miter model is microseconds
+    literals), so validating even a whole-network CEC model is microseconds
     next to the solve it confirms.
     """
     if len(model) < num_vars + 1:

@@ -1,10 +1,16 @@
 """SAT-based combinational equivalence checking (CEC) for MIGs.
 
-Builds a miter between two networks — XOR of corresponding outputs, ORed
-together — Tseitin-encodes it and asks the CDCL solver for a satisfying
-(distinguishing) input.  UNSAT proves equivalence; a model is a concrete
-counterexample.  Complements the simulation-based checks of
-:mod:`repro.core.simulate` for networks too wide to simulate exhaustively.
+Both networks are strashed into one network over shared PIs
+(:func:`~repro.sat.sweep.miter_network`) and SAT-swept
+(:class:`~repro.sat.sweep.Sweeper`): every gate of the second network
+with a simulation partner is merged into it on proof, so a rewrite's
+untouched logic collapses gate by gate and the last query on each output
+pair runs over a network the merges have already shrunk.  A pair is
+proved when its two signals collapse to one; simulation or a SAT model
+that tells a pair apart refutes it with a concrete counterexample;
+anything else leaves the check unproven.  Complements the
+simulation-based checks of :mod:`repro.core.simulate` for networks too
+wide to simulate exhaustively.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.mig import Mig
-from .cnf import CnfBuilder
 from .portfolio import resolve_backend
+from .sweep import Sweeper, miter_network
 
 if TYPE_CHECKING:
     from ..runtime.budget import Budget
@@ -29,27 +35,11 @@ class CecResult:
 
     equivalent: bool | None  # None = budget exhausted
     counterexample: dict[str, bool] | None
+    #: conflicts spent by all of the sweep's queries together
     conflicts: int
     #: per-lane portfolio fates ("<backend>:<outcome>" -> count); empty
     #: on the pure-internal path
     backend_events: dict[str, int] = field(default_factory=dict)
-
-
-def _encode_mig(builder: CnfBuilder, mig: Mig, pi_vars: list[int]) -> list[int]:
-    """Tseitin-encode *mig* over shared PI variables; returns output literals."""
-    const_false = builder.new_var()
-    builder.add_unit(-const_false)
-    node_lits: list[int] = [const_false]
-    node_lits.extend(pi_vars)
-    for node in mig.gates():
-        a, b, c = mig.fanins(node)
-        la = node_lits[a >> 1] * (-1 if a & 1 else 1)
-        lb = node_lits[b >> 1] * (-1 if b & 1 else 1)
-        lc = node_lits[c >> 1] * (-1 if c & 1 else 1)
-        out = builder.new_var()
-        builder.maj_gate(out, la, lb, lc)
-        node_lits.append(out)
-    return [node_lits[s >> 1] * (-1 if s & 1 else 1) for s in mig.outputs]
 
 
 def check_equivalence_sat(
@@ -61,48 +51,50 @@ def check_equivalence_sat(
 ) -> CecResult:
     """Prove or refute equivalence of two MIGs with identical interfaces.
 
-    A shared :class:`repro.runtime.budget.Budget` bounds the solve by its
-    wall-clock deadline and (when *conflict_budget* is not given) by its
-    remaining conflicts; the conflicts spent are charged back to it.
+    *conflict_budget* caps the conflicts of all the sweep's queries
+    together.  A shared :class:`repro.runtime.budget.Budget` bounds the
+    sweep by its wall-clock deadline and remaining conflicts; the
+    conflicts spent are charged back to it.
 
     *sat_backend* selects the solving path: a ``--sat-backend`` mode
     string (``"auto"``/``"internal"``/``"portfolio"``), an already-built
     :class:`~repro.sat.portfolio.PortfolioSolver` (shared across calls
     so its event counters accumulate), or ``None`` for internal.
     """
-    if mig1.num_pis != mig2.num_pis or mig1.num_pos != mig2.num_pos:
-        raise ValueError("CEC requires matching PI/PO counts")
-    deadline = None
-    if budget is not None:
-        deadline = budget.deadline
-        if conflict_budget is None:
-            conflict_budget = budget.call_conflict_budget()
+    combined, second = miter_network(mig1, mig2)
     portfolio = (
         resolve_backend(sat_backend, budget=budget)
         if isinstance(sat_backend, str)
         else sat_backend
     )
-    builder = CnfBuilder(portfolio=portfolio, budget=budget)
-    pi_vars = builder.new_vars(mig1.num_pis)
-    outs1 = _encode_mig(builder, mig1, pi_vars)
-    outs2 = _encode_mig(builder, mig2, pi_vars)
-    diff_lits = []
-    for o1, o2 in zip(outs1, outs2):
-        d = builder.new_var()
-        builder.xor_gate(d, o1, o2)
-        diff_lits.append(d)
-    builder.at_least_one(diff_lits)
-    answer = builder.solve(conflict_budget=conflict_budget, deadline=deadline)
-    conflicts = builder.solver.conflicts
-    if budget is not None:
-        budget.charge_conflicts(conflicts)
-    events = portfolio.take_events() if portfolio is not None else {}
-    if answer is None:
-        return CecResult(None, None, conflicts, events)
-    if answer is False:
-        return CecResult(True, None, conflicts, events)
-    cex = {
-        name: builder.value(var)
-        for name, var in zip(mig1.pi_names, pi_vars)
-    }
-    return CecResult(False, cex, conflicts, events)
+    sweeper = Sweeper(
+        combined,
+        conflict_limit=conflict_budget,
+        budget=budget,
+        portfolio=portfolio,
+        query_from=second,
+    )
+    n = mig1.num_pos
+    pairs = list(zip(combined.outputs[:n], combined.outputs[n:]))
+
+    def result(equivalent: bool | None, pattern: list[int] | None) -> CecResult:
+        events = portfolio.take_events() if portfolio is not None else {}
+        cex = None
+        if pattern is not None:
+            cex = {name: bool(v) for name, v in zip(mig1.pi_names, pattern)}
+        return CecResult(equivalent, cex, sweeper.conflicts, events)
+
+    # Simulation alone refutes most broken rewrites before any SAT call.
+    for s1, s2 in pairs:
+        pattern = sweeper.refuting_pattern(s1, s2)
+        if pattern is not None:
+            return result(False, pattern)
+    sweeper.run()
+    proved = True
+    for s1, s2 in pairs:
+        verdict, pattern = sweeper.prove_pair(s1, s2)
+        if verdict is False:
+            return result(False, pattern)
+        if verdict is None:
+            proved = False
+    return result(True if proved else None, None)

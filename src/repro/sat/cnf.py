@@ -2,7 +2,7 @@
 
 Provides the gate-consistency (Tseitin) constraints and cardinality
 encodings used by the exact-synthesis encoder (:mod:`repro.exact.encoding`)
-and by SAT-based combinational equivalence checking.
+and by the SAT-sweeping engine (:mod:`repro.sat.sweep`: fraig and CEC).
 
 When a :class:`~repro.sat.portfolio.PortfolioSolver` is attached, every
 clause is also mirrored into :attr:`CnfBuilder.clauses` so external

@@ -113,6 +113,46 @@ class TestRollback:
         assert not check_equivalence(mig, result)
 
 
+
+class TestStepVerdicts:
+    """``FlowStepStats.proved`` carries the verdict next to ``verified``."""
+
+    def teardown_method(self):
+        faults.reset()
+
+    def test_cec_steps_are_proved(self, db):
+        mig = epfl.adder(8)  # 16 PIs: past exhaustive simulation
+        _, history = run_flow(mig, db, ["depth", "BF"], verify="cec")
+        assert [s.verified for s in history] == ["cec", "cec"]
+        assert [s.proved for s in history] == [True, True]
+
+    def test_sampled_steps_are_unproven(self, db):
+        mig = epfl.adder(8)
+        _, history = run_flow(mig, db, ["depth", "BF"], verify="sim")
+        assert [s.verified for s in history] == ["sampled", "sampled"]
+        assert [s.proved for s in history] == [None, None]
+
+    def test_exhaustive_steps_are_proved(self, db):
+        _, history = run_flow(epfl.adder(6), db, ["BF"], verify="sim")
+        assert history[0].verified == "exhaustive"
+        assert history[0].proved is True
+
+    def test_unverified_steps_have_no_verdict(self, db):
+        _, history = run_flow(epfl.adder(6), db, ["BF"])
+        assert history[0].verified == "off" and history[0].proved is None
+
+    def test_wrong_rewrite_on_wide_network_is_refuted_under_cec(self, db):
+        mig = epfl.adder(8)
+        with faults.inject("flow.wrong-rewrite", times=1):
+            result, history = run_flow(
+                mig, db, ["BF"], verify="cec", on_error="rollback"
+            )
+        assert history[0].status == "rolled-back"
+        assert history[0].proved is False
+        assert "non-equivalent" in history[0].error
+        assert result is mig
+
+
 class TestBudgetedFlow:
     def test_expired_budget_skips_steps(self, db):
         mig = epfl.adder(8)

@@ -86,6 +86,32 @@ class TestSpecForAttempt:
         assert spec3a.cut_limit == 2
 
 
+
+class TestWorkerStepVerdicts:
+    def test_steps_and_progress_carry_proved(self, tmp_path):
+        from repro.runtime.worker import run_job
+
+        progress = tmp_path / "progress.jsonl"
+        spec = JobSpec(job_id="j", network={"generate": "adder", "width": 8},
+                       script=("depth", "BF"), verify="cec", time_limit=60.0,
+                       progress=str(progress))
+        result = run_job(spec)
+        assert [s["verified"] for s in result["steps"]] == ["cec", "cec"]
+        assert [s["proved"] for s in result["steps"]] == [True, True]
+        events = [json.loads(line) for line in progress.read_text().splitlines()]
+        steps = [e for e in events if e.get("event") == "step"]
+        assert [e["proved"] for e in steps] == [True, True]
+
+    def test_sampled_steps_are_unproven(self, tmp_path):
+        from repro.runtime.worker import run_job
+
+        spec = JobSpec(job_id="j", network={"generate": "adder", "width": 8},
+                       script=("BF",), verify="sim", time_limit=60.0)
+        result = run_job(spec)
+        assert result["steps"][0]["verified"] == "sampled"
+        assert result["steps"][0]["proved"] is None
+
+
 class TestBatch:
     def test_batch_completes_and_uses_the_pool(self, tmp_path, full_adder):
         blif_path = tmp_path / "full_adder.blif"

@@ -125,6 +125,61 @@ class TestFlow:
                   "--script", "nonsense"])
 
 
+
+class TestEquivalenceLine:
+    """The final line says OK only for a proof."""
+
+    def teardown_method(self):
+        from repro.runtime import faults
+
+        faults.reset()
+
+    def test_sampled_wide_flow_is_not_ok(self, capsys):
+        code = main(["flow", "--generate", "adder", "--width", "8",
+                     "--script", "depth,BF", "--verify"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "equivalence: not refuted (sampled; 2 steps unproven)" in out
+        assert "equivalence: OK" not in out
+        assert "sampled: unproven" in out
+
+    def test_cec_wide_flow_with_every_step_proved_is_ok(self, capsys):
+        code = main(["flow", "--generate", "adder", "--width", "8",
+                     "--script", "depth,BF", "--verify", "cec"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "equivalence: OK" in out
+        assert out.count("cec: proved") == 2
+
+    def test_cec_unproven_step_is_reported(self, capsys):
+        code = main(["flow", "--generate", "adder", "--width", "16",
+                     "--script", "depth", "--verify", "cec",
+                     "--conflict-limit", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "cec: unproven" in out
+        assert "equivalence: not refuted (sampled; 1 step unproven)" in out
+
+    def test_wrong_rewrite_on_wide_network_is_refuted(self, capsys):
+        from repro.runtime import faults
+
+        with faults.inject("flow.wrong-rewrite", times=1):
+            code = main(["flow", "--generate", "adder", "--width", "8",
+                         "--script", "BF", "--verify", "cec",
+                         "--on-error", "rollback"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[rolled-back]" in out and "refuted" in out
+        assert "equivalence: OK" in out  # the rolled-back flow kept its input
+
+    def test_optimize_wide_network_is_not_ok(self, capsys):
+        code = main(["optimize", "--generate", "adder", "--width", "8",
+                     "--verify"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "equivalence: not refuted (sampled; 1 step unproven)" in out
+
+
 class TestBatch:
     def test_batch_runs_and_writes_outputs(self, capsys, tmp_path):
         workdir = tmp_path / "batch"
