@@ -14,9 +14,11 @@ The robustness substrate shared by every layer of the reproduction:
 * :mod:`repro.runtime.jobs` — batch job specs, the retry/degradation
   ladder, and the crash-recoverable JSONL job journal;
 * :mod:`repro.runtime.executors` — the pluggable execution layer: the
-  ``Executor`` protocol (submit/poll/cancel/drain), the fork-based
-  ``LocalExecutor`` worker pool, and the ``ShardExecutor`` that runs one
-  task per (pseudo-)host for distributed sweeps;
+  ``Executor`` protocol (submit/poll/cancel/drain), the
+  ``LocalExecutor`` worker pool (workers forked from a pre-imported fork
+  server, other commands via ``subprocess.Popen``), and the
+  ``ShardExecutor`` that runs one task per (pseudo-)host for
+  distributed sweeps;
 * :mod:`repro.runtime.supervisor` — the supervised parallel batch
   runtime: journal-backed scheduling and the retry ladder, executing
   through any ``Executor`` with the hard wall-clock watchdog
@@ -24,8 +26,9 @@ The robustness substrate shared by every layer of the reproduction:
 * :mod:`repro.runtime.sweep` — sharded multi-host sweeps: declarative
   scenario matrices expanded to per-host journal shards, merged
   exactly-once, published as trend rows to ``MATRIX.jsonl``;
-* :mod:`repro.runtime.worker` — the worker subprocess entry point
-  (``python -m repro.runtime.worker``).
+* :mod:`repro.runtime.worker` — the worker entry point (``python -m
+  repro.runtime.worker``) and the fork server that forks workers
+  (``--fork-server``).
 
 See ``docs/ROBUSTNESS.md`` for the full model.
 """

@@ -2,19 +2,23 @@
 
 PR 3's :class:`~repro.runtime.supervisor.Supervisor` was both the batch
 *scheduler* (journal, retry ladder, adoption) and the *process pool*
-(fork, poll, SIGTERM→SIGKILL watchdog).  This module extracts the second
-role behind a small protocol so the scheduler no longer cares whether an
-attempt runs as a local fork, or — one level up — a whole journal shard
-runs as an independent ``migopt batch --shard`` invocation on another
-host:
+(launch, poll, SIGTERM→SIGKILL watchdog).  This module extracts the
+second role behind a small protocol so the scheduler no longer cares
+whether an attempt runs as a local process, or — one level up — a whole
+journal shard runs as an independent ``migopt batch --shard`` invocation
+on another host:
 
 * :class:`Executor` — the protocol: ``submit`` / ``poll`` / ``cancel`` /
   ``drain`` over :class:`ExecutorTask` descriptions (an argv, an
   environment, an optional wall-clock watchdog);
-* :class:`LocalExecutor` — today's fork-based worker pool, re-platformed
-  byte-for-byte: slot allocation, the startup-margin-padded watchdog and
-  the SIGTERM→grace→SIGKILL escalation are exactly the pre-refactor
-  supervisor's (pinned by ``tests/runtime/test_executor_differential``);
+* :class:`LocalExecutor` — the local worker pool: slot allocation, the
+  startup-margin-padded watchdog and the SIGTERM→grace→SIGKILL
+  escalation are exactly the pre-refactor supervisor's (pinned by
+  ``tests/runtime/test_executor_differential``).  A worker argv
+  (:func:`worker_argv`) is not exec'd: it is forked from a *fork server*,
+  one ``python -m repro.runtime.worker --fork-server`` per executor that
+  has imported the job code once, so a job starts without paying for a
+  fresh interpreter.  Every other argv runs through ``subprocess.Popen``;
 * :class:`ShardExecutor` — one task per *journal shard*: the argv is
   wrapped in a per-host command template (``$REPRO_SWEEP_HOSTS``; plain
   names run local subprocesses, ``name=ssh hostA {cmd}``-style templates
@@ -28,12 +32,18 @@ Every executor is single-use: create, submit/poll until done (or
 
 from __future__ import annotations
 
+import json
 import os
+import select
+import signal
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
+
+from .faults import FAULTS_ENV_VAR
 
 __all__ = [
     "ExecutorTask",
@@ -44,11 +54,27 @@ __all__ = [
     "HostSpec",
     "ShardExecutor",
     "parse_hosts",
+    "kill_worker",
+    "worker_argv",
     "HOSTS_ENV_VAR",
+    "WORKER_MODULE",
 ]
 
 #: scheduler tick shared with the supervisor loop
 POLL_INTERVAL = 0.02
+
+#: the worker entry module.  The Supervisor's worker argv, the fork
+#: server's own argv and the orphan check all name it through this
+#: constant, so a forked worker (whose cmdline is the fork server's)
+#: is recognized as a worker on purpose.
+WORKER_MODULE = "repro.runtime.worker"
+
+#: the worker module's flag that starts it as a fork server
+FORK_SERVER_FLAG = "--fork-server"
+
+#: how long a fork request may wait for the server's reply (the first
+#: one includes the server's imports)
+_FORK_REPLY_TIMEOUT = 60.0
 
 #: environment variable naming the sweep fleet (see :func:`parse_hosts`)
 HOSTS_ENV_VAR = "REPRO_SWEEP_HOSTS"
@@ -136,12 +162,189 @@ class Executor(Protocol):
         ...
 
 
+def worker_argv(spec_path: str, result_path: str) -> tuple[str, ...]:
+    """The argv that runs one job spec: ``python -m repro.runtime.worker``.
+
+    :class:`LocalExecutor` forks exactly this argv from its fork server
+    instead of exec'ing it.
+    """
+    return (sys.executable, "-m", WORKER_MODULE, spec_path, result_path)
+
+
+def kill_worker(pid: int) -> None:
+    """SIGKILL *pid* if it still runs the worker module (Linux-only check).
+
+    The pid is only signalled when ``/proc`` shows :data:`WORKER_MODULE`
+    in its cmdline — a recycled pid must never be shot.  A forked
+    worker's cmdline is its fork server's, ``python -m
+    repro.runtime.worker --fork-server``, so it matches too.
+    """
+    try:
+        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+    except OSError:
+        return
+    if WORKER_MODULE.encode() not in cmdline:
+        return
+    try:
+        os.kill(pid, signal.SIGKILL)
+    except OSError:
+        pass
+
+
+def _forkable(argv: list[str]) -> bool:
+    return (
+        hasattr(os, "fork")
+        and len(argv) == 5
+        and tuple(argv) == worker_argv(argv[3], argv[4])
+    )
+
+
+class _ForkServer:
+    """Client end of one ``python -m repro.runtime.worker --fork-server``.
+
+    Requests and replies are JSON lines over the server's stdin and
+    stdout.  A request ``{"args", "env", "cwd", "log_path"}`` is answered
+    by ``{"pid": N}`` once the server has forked the worker (or
+    ``{"error": ...}``); every reaped worker is reported as ``{"exit":
+    pid, "status": returncode}``, with Popen's sign convention.  Closing
+    the server's stdin stops it once its workers are gone.
+    """
+
+    def __init__(self, env: dict | None) -> None:
+        env = dict(os.environ if env is None else env)
+        # The server never arms faults; each worker arms its own task's.
+        env.pop(FAULTS_ENV_VAR, None)
+        # numpy's OpenBLAS would start a thread pool at import, and the
+        # server must be single-threaded when it forks.
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", WORKER_MODULE, FORK_SERVER_FLAG],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+        self._fd = self.proc.stdout.fileno()
+        self._buffer = b""
+        self._replies: list[dict] = []
+        #: forked workers not yet reported as exited
+        self.children: set[int] = set()
+        #: exit statuses reported but not yet collected, by pid
+        self.exits: dict[int, int] = {}
+        #: the server died: its reply pipe reached EOF
+        self.lost = False
+
+    def fork(self, task: ExecutorTask) -> int:
+        """Fork one worker for *task*; returns its pid."""
+        # Sent in full, so the worker sees what a Popen child would.
+        request = {
+            "args": list(task.argv[3:]),
+            "env": dict(os.environ) if task.env is None else task.env,
+            "cwd": os.getcwd() if task.cwd is None else task.cwd,
+            "log_path": task.log_path,
+        }
+        try:
+            self.proc.stdin.write(json.dumps(request).encode("utf-8") + b"\n")
+            self.proc.stdin.flush()
+        except OSError:
+            self._lose()
+        deadline = time.monotonic() + _FORK_REPLY_TIMEOUT
+        while not self._replies:
+            remaining = deadline - time.monotonic()
+            if self.lost or remaining <= 0:
+                raise RuntimeError(
+                    f"fork server {self.proc.pid} gave no pid for "
+                    f"{task.task_id!r}"
+                    + (" (it exited)" if self.lost else " (timed out)")
+                )
+            self._read(remaining)
+        reply = self._replies.pop(0)
+        if "pid" not in reply:
+            raise OSError(f"fork server could not fork: {reply.get('error')}")
+        self.children.add(reply["pid"])
+        return reply["pid"]
+
+    def collect(self) -> None:
+        """Read every message the server has sent so far, without blocking."""
+        while not self.lost and self._read(0.0):
+            pass
+
+    def _read(self, timeout: float) -> bool:
+        ready, _, _ = select.select([self._fd], [], [], timeout)
+        if not ready:
+            return False
+        chunk = os.read(self._fd, 65536)
+        if not chunk:
+            self._lose()
+            return False
+        *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+        for line in lines:
+            message = json.loads(line)
+            if "exit" in message:
+                self.children.discard(message["exit"])
+                self.exits[message["exit"]] = message["status"]
+            else:
+                self._replies.append(message)
+        return True
+
+    def _lose(self) -> None:
+        """The server died: nobody can reap or report its workers any more,
+        so they are SIGKILLed and reported as killed."""
+        self.lost = True
+        for pid in self.children:
+            kill_worker(pid)
+            self.exits[pid] = -signal.SIGKILL
+        self.children.clear()
+        self.stop(timeout=5.0)
+
+    def stop(self, timeout: float) -> None:
+        """Close the request pipe and wait for the server to exit."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+class _ForkedWorker:
+    """The ``poll``/``terminate``/``kill`` face of a forked worker, so the
+    executor supervises it exactly like a ``subprocess.Popen``."""
+
+    def __init__(self, server: _ForkServer, pid: int) -> None:
+        self.server = server
+        self.pid = pid
+        self.returncode: int | None = None
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            self.server.collect()
+            self.returncode = self.server.exits.pop(self.pid, None)
+        return self.returncode
+
+    def _signal(self, signum: int) -> None:
+        # Never signal a pid whose exit was already reported: it may
+        # have been recycled.
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
 @dataclass
 class _Live:
     """Executor-side state of one running process."""
 
     task_id: str
-    proc: subprocess.Popen
+    proc: subprocess.Popen | _ForkedWorker
     slot: int | str
     started: float
     #: SIGTERM instant (None = no wall-clock watchdog for this task)
@@ -163,13 +366,19 @@ class _Live:
 
 
 class LocalExecutor:
-    """The fork-based worker pool, extracted from the PR 3 supervisor.
+    """The local worker pool, extracted from the original supervisor.
 
     *num_workers* slots are allocated lowest-index-first and returned to
     the free list on exit (identical to the pre-refactor supervisor, so
     per-slot utilization accounting is unchanged).  *startup_margin* pads
-    every task watchdog for interpreter start-up; *grace* is the
+    every task watchdog for process start-up; *grace* is the
     SIGTERM→SIGKILL escalation window.
+
+    Worker tasks are forked from a fork server that the first of them
+    starts (with that task's environment) and :meth:`close` stops; the
+    server reaps each worker before reporting its exit, and ``close``
+    waits for the server, so the workers stay waited-for descendants of
+    this process (``RUSAGE_CHILDREN`` still covers them).
     """
 
     def __init__(
@@ -185,6 +394,7 @@ class LocalExecutor:
         self.startup_margin = startup_margin
         self._live: dict[str, _Live] = {}
         self._free_slots: list[int | str] = list(range(num_workers))
+        self._fork_server: _ForkServer | None = None
         self._closed = False
 
     # -- capacity ----------------------------------------------------------
@@ -223,28 +433,17 @@ class LocalExecutor:
             raise RuntimeError("no free executor slot")
         slot = self._take_slot(task)
         argv = self._spawn_argv(task, slot)
-        stderr = subprocess.DEVNULL
-        log_fp = None
         if task.log_path is not None:
-            log_path = Path(task.log_path)
-            log_path.parent.mkdir(parents=True, exist_ok=True)
-            log_fp = open(log_path, "ab")
-            stderr = log_fp
+            Path(task.log_path).parent.mkdir(parents=True, exist_ok=True)
         try:
-            proc = subprocess.Popen(
-                argv,
-                env=task.env,
-                stdout=subprocess.DEVNULL,
-                stderr=stderr,
-                cwd=task.cwd,
-            )
+            if _forkable(argv):
+                proc = self._fork(task)
+            else:
+                proc = self._popen(task, argv)
         except Exception:
             self._free_slots.append(slot)
             self._sort_free()
             raise
-        finally:
-            if log_fp is not None:
-                log_fp.close()
         started = time.monotonic()
         term_at = kill_at = None
         if task.time_limit is not None:
@@ -255,6 +454,29 @@ class LocalExecutor:
             term_at=term_at, kill_at=kill_at,
         )
         return TaskHandle(task_id=task.task_id, pid=proc.pid, slot=slot)
+
+    def _fork(self, task: ExecutorTask) -> _ForkedWorker:
+        server = self._fork_server
+        if server is None or server.lost:
+            server = self._fork_server = _ForkServer(task.env)
+        return _ForkedWorker(server, server.fork(task))
+
+    @staticmethod
+    def _popen(task: ExecutorTask, argv: list[str]) -> subprocess.Popen:
+        log_fp = None
+        if task.log_path is not None:
+            log_fp = open(task.log_path, "ab")
+        try:
+            return subprocess.Popen(
+                argv,
+                env=task.env,
+                stdout=subprocess.DEVNULL,
+                stderr=log_fp if log_fp is not None else subprocess.DEVNULL,
+                cwd=task.cwd,
+            )
+        finally:
+            if log_fp is not None:
+                log_fp.close()
 
     def _sort_free(self) -> None:
         try:
@@ -328,6 +550,9 @@ class LocalExecutor:
     def close(self) -> None:
         if self._live:
             self.drain()
+        if self._fork_server is not None:
+            self._fork_server.stop(timeout=self.grace + 5.0)
+            self._fork_server = None
         self._closed = True
 
 

@@ -6,9 +6,11 @@ a CDCL run that ignores its poll points, a memory blowup, a hard crash —
 by moving each job into its own subprocess and supervising it at the OS
 level:
 
-* **process isolation** — every job runs ``python -m
-  repro.runtime.worker`` with its own address-space rlimit; spec and
-  result travel through atomically written JSON files;
+* **process isolation** — every job attempt is its own worker process
+  (``python -m repro.runtime.worker``, forked from the executor's fork
+  server, which has imported the job code once) with its own
+  address-space rlimit; spec and result travel through atomically
+  written JSON files;
 * **hard wall-clock watchdog** — a job past its time limit is sent
   SIGTERM; one that ignores it (see the ``worker.hang`` fault) is
   SIGKILLed after a grace period.  The batch always finishes;
@@ -28,8 +30,9 @@ Since the executor-layer refactor the Supervisor is a pure *scheduler*:
 process launching, polling and the watchdog escalation live behind the
 :class:`~repro.runtime.executors.Executor` protocol.  The default
 :class:`~repro.runtime.executors.LocalExecutor` reproduces the historic
-fork pool exactly (``tests/runtime/test_executor_differential.py`` pins
-it against the frozen pre-refactor monolith); a sweep coordinator runs
+worker pool's scheduling exactly
+(``tests/runtime/test_executor_differential.py`` pins it against the
+frozen pre-refactor monolith); a sweep coordinator runs
 whole journal *shards* through a
 :class:`~repro.runtime.executors.ShardExecutor` instead — same
 scheduling discipline, one level up (:mod:`repro.runtime.sweep`).
@@ -42,8 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -51,7 +52,15 @@ from pathlib import Path
 
 from . import faults
 from .artifacts import atomic_write_text
-from .executors import Executor, ExecutorTask, LocalExecutor, TaskExit
+from .executors import (
+    POLL_INTERVAL,
+    Executor,
+    ExecutorTask,
+    LocalExecutor,
+    TaskExit,
+    kill_worker,
+    worker_argv,
+)
 from .jobs import (
     BatchReport,
     JobJournal,
@@ -63,9 +72,6 @@ from .jobs import (
 from .metrics import PassMetrics
 
 __all__ = ["Supervisor", "run_batch", "spec_for_attempt"]
-
-#: scheduler tick — how often the executor is polled
-_POLL_INTERVAL = 0.02
 
 
 def spec_for_attempt(base: JobSpec, attempt: int) -> tuple[JobSpec, list[str]]:
@@ -105,13 +111,14 @@ class Supervisor:
           report.json       the final merged BatchReport
 
     *grace* is the SIGTERM→SIGKILL escalation window;
-    *startup_margin* pads the watchdog for interpreter start-up so a
-    healthy worker that honors its in-process budget is never killed;
+    *startup_margin* pads the watchdog for worker start-up (the fork,
+    reading the spec, loading the network and database) so a healthy
+    worker that honors its in-process budget is never killed;
     *backoff_base* seconds doubles per failed attempt (kept small in
     tests); *default_time_limit* applies to specs without their own.
     *executor* overrides where attempts run (default: a fresh
     :class:`LocalExecutor` per :meth:`run`, reproducing the historic
-    fork pool).
+    worker pool).
     """
 
     def __init__(
@@ -261,7 +268,8 @@ class Supervisor:
         """Re-queue interrupted jobs; returns (ready ids, delayed id->eligible_at).
 
         ``running`` records belong to a supervisor that died: their
-        orphaned workers are killed, and each job either adopts an
+        orphaned workers are killed (``kill_worker`` spares a recycled
+        pid), and each job either adopts an
         already-complete valid result artifact (exactly-once: no re-run)
         or is re-queued at the same attempt number.  ``failed`` records
         (a crash between the failure and its requeue/quarantine decision)
@@ -272,7 +280,8 @@ class Supervisor:
         for job_id in order:
             record = records[job_id]
             if record.state == "running":
-                self._kill_orphan(record.pid)
+                if record.pid is not None:
+                    kill_worker(record.pid)
                 payload = load_result_artifact(self._result_path(job_id), job_id)
                 if payload is not None and payload.get("status") == "ok":
                     journal.done(job_id, self._result_summary(payload), adopted=True)
@@ -299,26 +308,6 @@ class Supervisor:
             elif record.state == "pending":
                 ready.append(job_id)
         return ready, delayed
-
-    @staticmethod
-    def _kill_orphan(pid: int | None) -> None:
-        """Kill a worker left over from a dead supervisor (Linux-only check).
-
-        The pid is only signalled when ``/proc`` shows it still runs our
-        worker module — a recycled pid must never be shot.
-        """
-        if pid is None:
-            return
-        try:
-            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
-        except OSError:
-            return
-        if b"repro.runtime.worker" not in cmdline:
-            return
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except OSError:
-            pass
 
     # -- scheduling loop --------------------------------------------------
 
@@ -380,7 +369,7 @@ class Supervisor:
             if not progressed:
                 # Nothing to do but wait: sleep until the next deadline of
                 # interest (retry eligibility or watchdog escalation).
-                time.sleep(_POLL_INTERVAL)
+                time.sleep(POLL_INTERVAL)
         return report
 
     @staticmethod
@@ -462,8 +451,7 @@ class Supervisor:
             host = spec.payload.get("host")
         task = ExecutorTask(
             task_id=job_id,
-            argv=(sys.executable, "-m", "repro.runtime.worker",
-                  str(spec_path), str(result_path)),
+            argv=worker_argv(str(spec_path), str(result_path)),
             env=self._child_env(),
             cwd=str(self.workdir),
             log_path=str(self.workdir / "logs" / f"{job_id}.log"),

@@ -1,4 +1,4 @@
-"""Worker subprocess entry point: ``python -m repro.runtime.worker``.
+"""Worker entry point: ``python -m repro.runtime.worker``.
 
 One worker runs exactly one :class:`~repro.runtime.jobs.JobSpec` and
 exits.  The process boundary is the isolation unit the in-process
@@ -12,8 +12,8 @@ Protocol (see :mod:`repro.runtime.supervisor` for the other side):
   written atomically by the supervisor; the result is written atomically
   by the worker (so a kill at any instant leaves either no result or a
   complete one, never a torn file);
-* env: ``REPRO_FAULTS`` arms :mod:`repro.runtime.faults` in the child so
-  fault-injection tests exercise the supervised path end-to-end;
+* env: ``REPRO_FAULTS`` arms :mod:`repro.runtime.faults` in the worker
+  so fault-injection tests exercise the supervised path end-to-end;
 * exit code 0 means "a result artifact was written" — its ``status``
   field says whether the job succeeded (``ok``) or failed in a
   controlled way (``failed``, with the traceback captured).  Any other
@@ -25,6 +25,14 @@ address-space rlimit from the spec, and an in-process
 :class:`~repro.runtime.budget.Budget` built from the spec's limits so a
 healthy job exits politely well before the supervisor's hard watchdog
 (SIGTERM → grace → SIGKILL) has to fire.
+
+``python -m repro.runtime.worker --fork-server`` runs this module as a
+*fork server* instead (:func:`serve_forks`): it imports the job code
+once, then forks one worker per request from
+:class:`~repro.runtime.executors.LocalExecutor`.  Each forked worker
+takes its task's environment, working directory and log, resets its
+signal handlers and runs the unchanged :func:`main` — the protocol above
+is the same whether the worker was forked or exec'd.
 """
 
 from __future__ import annotations
@@ -38,11 +46,12 @@ import traceback as traceback_module
 
 from .artifacts import atomic_write_text
 from .budget import Budget
+from .executors import FORK_SERVER_FLAG
 from .faults import arm_from_env, fault_active
 from .jobs import JobSpec
 from .metrics import PassMetrics
 
-__all__ = ["run_job", "main"]
+__all__ = ["run_job", "main", "serve_forks"]
 
 #: exit code for the injected hard-crash fault (any nonzero would do;
 #: a distinctive value makes supervisor logs readable)
@@ -351,8 +360,132 @@ def _variant_names() -> tuple[str, ...]:
     return VARIANTS
 
 
+def _run_forked(request: dict, inherited_fds: tuple[int, ...]) -> None:
+    """Body of a forked worker: become the requested task, run :func:`main`
+    and exit with its status (never returns)."""
+    rc = 1
+    try:
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        # The signal dispositions of a freshly started interpreter.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for fd in inherited_fds:
+            os.close(fd)
+        os.environ.clear()
+        os.environ.update(request["env"])
+        os.chdir(request["cwd"])
+        devnull = os.open(os.devnull, os.O_RDWR)
+        log = devnull
+        if request.get("log_path") is not None:
+            log = os.open(request["log_path"],
+                          os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.dup2(devnull, 0)
+        os.dup2(devnull, 1)
+        os.dup2(log, 2)
+        rc = main(list(request["args"]))
+    except SystemExit as exc:
+        rc = exc.code if isinstance(exc.code, int) else 1
+    except BaseException:  # noqa: BLE001 - process boundary
+        # Exit instead of re-raising: a forked worker must never unwind
+        # into the fork server's loop.
+        traceback_module.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(rc)
+
+
+def serve_forks() -> int:
+    """Run as a fork server until stdin closes and every worker is reaped.
+
+    Requests arrive as JSON lines on stdin (``args``, ``env``, ``cwd``,
+    ``log_path``); each is answered on stdout with ``{"pid": N}`` once a
+    worker is forked for it, and every reaped worker is reported as
+    ``{"exit": pid, "status": returncode}``.  The server never arms
+    faults and never kills a worker: when its supervisor dies (EOF on
+    stdin, or a broken reply pipe) it stops reading, keeps reaping, and
+    exits once its workers are gone — a resumed supervisor adopts their
+    results.
+    """
+    import select
+
+    import numpy  # noqa: F401
+
+    from .. import generators  # noqa: F401
+    from ..database import npn_db  # noqa: F401
+    from ..io import blif  # noqa: F401
+    from ..opt import flow  # noqa: F401
+
+    # Keep the protocol off fds 0/1, so that nothing the job code prints
+    # can corrupt it, and keep a terminal's Ctrl-C for the supervisor.
+    requests, replies = os.dup(0), os.dup(1)
+    devnull = os.open(os.devnull, os.O_RDWR)
+    os.dup2(devnull, 0)
+    os.dup2(2, 1)
+    os.close(devnull)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    wake_r, wake_w = os.pipe()
+    os.set_blocking(wake_r, False)
+    os.set_blocking(wake_w, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    inherited = (requests, replies, wake_r, wake_w)
+
+    children: set[int] = set()
+    reading = True
+    buffer = b""
+
+    def reply(message: dict) -> None:
+        nonlocal reading
+        try:
+            os.write(replies, (json.dumps(message) + "\n").encode("utf-8"))
+        except OSError:  # the supervisor is gone
+            reading = False
+
+    while reading or children:
+        ready, _, _ = select.select([wake_r, requests] if reading else [wake_r],
+                                    [], [])
+        if wake_r in ready:
+            try:
+                while os.read(wake_r, 512):
+                    pass
+            except BlockingIOError:
+                pass
+        while children:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+            if pid == 0:
+                break
+            children.discard(pid)
+            reply({"exit": pid, "status": os.waitstatus_to_exitcode(status)})
+        if reading and requests in ready:
+            chunk = os.read(requests, 65536)
+            if not chunk:
+                reading = False
+                continue
+            *lines, buffer = (buffer + chunk).split(b"\n")
+            for line in lines:
+                if not reading:
+                    break
+                request = json.loads(line)
+                try:
+                    pid = os.fork()
+                except OSError as exc:
+                    reply({"error": str(exc)})
+                    continue
+                if pid == 0:
+                    _run_forked(request, inherited)
+                children.add(pid)
+                reply({"pid": pid})
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv == [FORK_SERVER_FLAG]:
+        return serve_forks()
     if len(argv) != 2:
         print("usage: python -m repro.runtime.worker SPEC_PATH RESULT_PATH",
               file=sys.stderr)

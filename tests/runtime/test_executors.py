@@ -4,16 +4,23 @@ These drive :class:`LocalExecutor` and :class:`ShardExecutor` with plain
 shell-level subprocesses (``sleep``, ``true``), independent of the
 optimization worker — the executor contract (slot accounting, watchdog
 escalation, drain, host pinning) must hold for any process-shaped task.
+:class:`TestForkServer` then drives real worker argvs, which the local
+executor forks from its fork server, for the fork-safety guarantees.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.runtime.executors import (
+    FORK_SERVER_FLAG,
     Executor,
     ExecutorTask,
     HostSpec,
@@ -21,7 +28,14 @@ from repro.runtime.executors import (
     ShardExecutor,
     TaskExit,
     parse_hosts,
+    _ForkServer,
+    worker_argv,
 )
+from repro.runtime.jobs import JobJournal, JobSpec
+from repro.runtime.supervisor import run_batch
+from repro.runtime.worker import CRASH_EXIT_CODE
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
@@ -228,5 +242,166 @@ class TestSupervisorIntegration:
             # Still usable: the supervisor must not have closed it.
             executor.submit(sleeper("post", 0))
             wait_exits(executor, 1)
+        finally:
+            executor.close()
+
+
+def worker_task(tmp_path: Path, task_id: str, faults: str | None = None,
+                spec_path: Path | None = None) -> ExecutorTask:
+    """A real worker task: one tiny BF job, optionally with faults armed."""
+    if spec_path is None:
+        spec_path = tmp_path / "specs" / f"{task_id}.json"
+        spec_path.parent.mkdir(exist_ok=True)
+        spec = JobSpec(job_id=task_id, network={"generate": "adder", "width": 4},
+                       script=("BF",), verify="sim")
+        spec_path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULTS", None)
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
+    return ExecutorTask(
+        task_id=task_id,
+        argv=worker_argv(str(spec_path), str(tmp_path / f"{task_id}.result.json")),
+        env=env,
+        cwd=str(tmp_path),
+        log_path=str(tmp_path / "logs" / f"{task_id}.log"),
+    )
+
+
+def run_one(executor, task: ExecutorTask) -> tuple[int, int]:
+    """Run *task* to its exit; returns (pid, returncode)."""
+    handle = executor.submit(task)
+    (task_exit,) = wait_exits(executor, 1)
+    assert task_exit.task_id == task.task_id
+    return handle.pid, task_exit.returncode
+
+
+def result_of(tmp_path: Path, task_id: str) -> dict:
+    return json.loads((tmp_path / f"{task_id}.result.json").read_text(encoding="utf-8"))
+
+
+def proc_status(pid: int) -> dict[str, str]:
+    text = Path(f"/proc/{pid}/status").read_text(encoding="utf-8")
+    return dict(line.split(":\t", 1) for line in text.splitlines() if ":\t" in line)
+
+
+def running(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie."""
+    try:
+        return not proc_status(pid)["State"].startswith(("Z", "X"))
+    except OSError:
+        return False
+
+
+def wait_gone(pid: int, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return not running(pid)
+
+
+class TestForkServer:
+    def test_workers_fork_from_one_single_threaded_server(self, tmp_path):
+        executor = LocalExecutor(num_workers=1)
+        try:
+            run_one(executor, sleeper("plain", 0))
+            assert executor._fork_server is None  # other argvs keep Popen
+            first = ("a", *run_one(executor, worker_task(tmp_path, "a")))
+            server = executor._fork_server
+            assert server is not None
+            cmdline = Path(f"/proc/{server.proc.pid}/cmdline").read_bytes()
+            assert FORK_SERVER_FLAG.encode() in cmdline
+            assert proc_status(server.proc.pid)["Threads"].strip() == "1"
+            second = ("b", *run_one(executor, worker_task(tmp_path, "b")))
+            assert executor._fork_server is server
+            for task_id, pid, returncode in (first, second):
+                assert returncode == 0
+                result = result_of(tmp_path, task_id)
+                assert result["status"] == "ok"
+                assert result["pid"] == pid
+        finally:
+            executor.close()
+        # close() stops the server, which exits once its workers are reaped.
+        assert server.proc.returncode == 0
+
+    def test_server_is_single_threaded_before_its_first_fork(self, tmp_path):
+        # OpenBLAS stops its pool at fork on its own, so only the idle
+        # server, once numpy is loaded and before any request, shows
+        # whether a second thread exists.
+        server = _ForkServer(worker_task(tmp_path, "probe").env)
+        try:
+            maps = Path(f"/proc/{server.proc.pid}/maps")
+            deadline = time.monotonic() + 30
+            while b"_multiarray_umath" not in maps.read_bytes():
+                assert time.monotonic() < deadline, "numpy never loaded"
+                time.sleep(0.02)
+            time.sleep(0.2)
+            assert proc_status(server.proc.pid)["Threads"].strip() == "1"
+        finally:
+            server.stop(timeout=10)
+        assert server.proc.returncode == 0
+
+    def test_fault_of_one_job_does_not_leak_into_the_next(self, tmp_path):
+        executor = LocalExecutor(num_workers=1)
+        try:
+            # The doomed task also starts the server: the server must not
+            # arm the fault itself.
+            _, returncode = run_one(
+                executor, worker_task(tmp_path, "doomed", "worker.crash"))
+            assert returncode == CRASH_EXIT_CODE
+            assert not (tmp_path / "doomed.result.json").exists()
+            _, returncode = run_one(executor, worker_task(tmp_path, "healthy"))
+            assert returncode == 0
+            assert result_of(tmp_path, "healthy")["status"] == "ok"
+        finally:
+            executor.close()
+
+    def test_warm_worker_traceback_lands_in_its_log(self, tmp_path):
+        executor = LocalExecutor(num_workers=1)
+        try:
+            assert run_one(executor, worker_task(tmp_path, "warmup"))[1] == 0
+            broken = worker_task(tmp_path, "broken",
+                                 spec_path=tmp_path / "missing.json")
+            assert run_one(executor, broken)[1] == 1
+        finally:
+            executor.close()
+        log = (tmp_path / "logs" / "broken.log").read_text(encoding="utf-8")
+        assert "Traceback" in log
+        assert "FileNotFoundError" in log
+
+    def test_tiny_memory_limit_is_a_captured_failure(self, tmp_path):
+        specs = [
+            # The network alone needs far more than 1 MB beyond what the
+            # fork server has already mapped.
+            JobSpec(job_id="tiny", network={"generate": "multiplier", "width": 128},
+                    script=("BF",), verify="sim", mem_limit_mb=1),
+            JobSpec(job_id="ok", network={"generate": "adder", "width": 4},
+                    script=("BF",), verify="sim"),
+        ]
+        report = run_batch(specs, tmp_path / "batch", num_workers=1,
+                           max_attempts=2, backoff_base=0.01)
+        by_id = {job["job_id"]: job for job in report.jobs}
+        assert by_id["ok"]["state"] == "done"
+        assert by_id["tiny"]["state"] == "quarantined"
+        assert by_id["tiny"]["attempts"] == 2
+        assert by_id["tiny"]["error"].startswith("MemoryError")
+        assert report.retries == 1 and report.quarantined == 1
+        record = JobJournal.replay(tmp_path / "batch" / "journal.jsonl").records["tiny"]
+        assert "MemoryError" in record.traceback
+
+    def test_a_lost_server_reports_its_workers_killed(self, tmp_path):
+        executor = LocalExecutor(num_workers=1)
+        try:
+            hung = worker_task(tmp_path, "hung", "worker.hang")
+            handle = executor.submit(hung)
+            server = executor._fork_server
+            os.kill(server.proc.pid, signal.SIGKILL)
+            (task_exit,) = wait_exits(executor, 1)
+            assert task_exit.returncode == -signal.SIGKILL
+            assert wait_gone(handle.pid)
+            # The next worker task starts a fresh server.
+            assert run_one(executor, worker_task(tmp_path, "next"))[1] == 0
+            assert executor._fork_server is not server
         finally:
             executor.close()

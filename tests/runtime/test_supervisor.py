@@ -22,9 +22,12 @@ import pytest
 from repro.core.simulate import equivalent_random
 from repro.io.blif import read_blif, write_blif
 from repro.runtime import faults
+from repro.runtime.executors import FORK_SERVER_FLAG, WORKER_MODULE
 from repro.runtime.jobs import JobJournal, JobSpec
 from repro.runtime.supervisor import Supervisor, run_batch, spec_for_attempt
 from repro.runtime.worker import _load_network
+
+from .test_executors import proc_status, running, wait_gone
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
@@ -393,3 +396,68 @@ class TestChaos:
                 workdir / "outputs" / f"{name}-w6.blif",
                 {"generate": name, "width": 6},
             )
+
+
+class TestOrphanedWarmWorker:
+    def test_resume_kills_the_orphan_and_completes_exactly_once(self, tmp_path):
+        """A warm (forked) worker hangs, its supervisor is SIGKILLed: the
+        fork server keeps it alive, resume kills the journaled pid and
+        finishes every job exactly once, and the fork server then exits."""
+        workdir = tmp_path / "batch"
+        journal = workdir / "journal.jsonl"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # skip=1: the first job warms the fork server, the second hangs.
+        env["REPRO_FAULTS"] = "worker.hang:times=1:skip=1"
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))",
+             "batch", "--generate", "adder,max", "--width", "5",
+             "--script", "BF", "--jobs", "1", "--time-limit", "60",
+             "--grace", "1", "--max-attempts", "2", "--backoff", "0.05",
+             "--workdir", str(workdir)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            starts: list[dict] = []
+            while len(starts) < 2:
+                assert time.monotonic() < deadline, "the hung job never started"
+                assert proc.poll() is None, "the batch ended before the hang"
+                if journal.exists():
+                    starts = [e for e in journal_events(journal)
+                              if e["event"] == "start"]
+                time.sleep(0.05)
+            hung = starts[1]["pid"]
+            cmdline = Path(f"/proc/{hung}/cmdline").read_bytes()
+            assert WORKER_MODULE.encode() in cmdline
+            assert FORK_SERVER_FLAG.encode() in cmdline
+            server = int(proc_status(hung)["PPid"])
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+        try:
+            # The fork server never kills its workers; it only stops reading.
+            time.sleep(0.3)
+            assert running(hung) and running(server)
+
+            report = run_batch([], workdir, resume=True, num_workers=1,
+                               grace=1.0, max_attempts=2, backoff_base=0.05)
+            assert wait_gone(hung), "resume must kill the orphaned worker"
+            assert wait_gone(server), "the fork server must exit once reaped"
+        finally:
+            if running(hung):
+                os.kill(hung, signal.SIGKILL)
+        assert report.done == 2 and report.quarantined == 0
+        done_counts: dict[str, int] = {}
+        for event in journal_events(journal):
+            if event["event"] == "done":
+                done_counts[event["job"]] = done_counts.get(event["job"], 0) + 1
+        assert done_counts == {"adder-w5": 1, "max-w5": 1}
+        by_id = {job["job_id"]: job for job in report.jobs}
+        assert by_id[starts[1]["job"]]["attempts"] == 1
