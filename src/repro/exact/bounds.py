@@ -32,11 +32,21 @@ outside it the synthesis size loop can start at the first unknown size.
 The table is a function of ``n`` only, computed once per process and
 shared by every synthesis call — the same amortization the paper applies
 to its NPN database.
+
+:func:`composed_four_gate_migs` extends the constructive range by one
+size for ``n <= 4``: it composes 4-gate witnesses from the exact-size
+sets of that table (a 3-gate top plus leaves, a 1-gate and a 2-gate
+function side by side, or three 1-gate functions).  Every function it
+reaches lies outside the exhaustive <=3-gate table, so four gates is its
+proven minimum.  For n = 4 it covers 9,312 functions, 37 of the 42
+size-4 NPN classes; it is built lazily, on the first lookup it serves.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from ..core.mig import CONST0, CONST1, Mig, make_signal, signal_not
 from ..core.truth_table import (
@@ -53,6 +63,7 @@ from .heuristic import single_gate_functions
 __all__ = [
     "theorem2_bound",
     "shannon_upper_bound_mig",
+    "composed_four_gate_migs",
     "mig_size_lower_bound",
     "optimal_mig_from_table",
     "optimal_small_migs",
@@ -142,6 +153,28 @@ Witness = tuple[tuple[int, int, int], ...]
 _THREE_GATE_MAX_VARS = 4
 
 
+def _leaf_operands(num_vars: int) -> tuple[list[tuple[int, int]], list]:
+    """Leaf operands as (signal, truth table), and their distinct-node pairs.
+
+    A node and its complement are the same node, as are 0 and 1, so a
+    pair never holds both.
+    """
+    mask = tt_mask(num_vars)
+    leaves = [(CONST0, 0), (CONST1, mask)]
+    for i in range(num_vars):
+        pos = make_signal(1 + i)
+        v = tt_var(num_vars, i)
+        leaves.append((pos, v))
+        leaves.append((signal_not(pos), v ^ mask))
+    leaf_pairs = [
+        (leaves[ia], leaves[ib])
+        for ia in range(len(leaves))
+        for ib in range(ia + 1, len(leaves))
+        if leaves[ia][0] >> 1 != leaves[ib][0] >> 1
+    ]
+    return leaves, leaf_pairs
+
+
 @lru_cache(maxsize=4)
 def optimal_small_migs(num_vars: int) -> dict[int, Witness]:
     """Map truth table -> minimum witness gate list, for all small MIGs.
@@ -156,20 +189,7 @@ def optimal_small_migs(num_vars: int) -> dict[int, Witness]:
     """
     mask = tt_mask(num_vars)
     one_gate = single_gate_functions(num_vars)
-    # Leaf operands: (signal, truth table) with distinct-node pairs only
-    # (a node and its complement are the same node, as are 0 and 1).
-    leaves = [(CONST0, 0), (CONST1, mask)]
-    for i in range(num_vars):
-        pos = make_signal(1 + i)
-        v = tt_var(num_vars, i)
-        leaves.append((pos, v))
-        leaves.append((signal_not(pos), v ^ mask))
-    leaf_pairs = [
-        (leaves[ia], leaves[ib])
-        for ia in range(len(leaves))
-        for ib in range(ia + 1, len(leaves))
-        if leaves[ia][0] >> 1 != leaves[ib][0] >> 1
-    ]
+    leaves, leaf_pairs = _leaf_operands(num_vars)
     trivial = {0, mask}
     for _, v in leaves:
         trivial.add(v)
@@ -241,12 +261,91 @@ def optimal_small_migs(num_vars: int) -> dict[int, Witness]:
     return table
 
 
+@lru_cache(maxsize=4)
+def composed_four_gate_migs(num_vars: int) -> dict[int, Witness]:
+    """Map truth table -> a 4-gate witness, for functions past the <=3 table.
+
+    Only for ``num_vars <= 4``, where :func:`optimal_small_migs` is
+    exhaustive up to three gates: every function outside it needs at least
+    four gates, so any 4-gate witness is a minimum.  The witnesses are
+    composed from the exact-size sets of that table in three shapes,
+    evaluated on numpy arrays of truth tables (``tt_maj`` broadcasts):
+
+    (A) the root reads an exact-size-3 function and two distinct leaves;
+    (B) the root reads an independent 1-gate function, a 2-gate function
+        and a leaf;
+    (C) the root reads three independent 1-gate functions.
+
+    Each exact-size set is closed under complement (majority
+    self-duality), so iterating it positively covers every root polarity.
+    The shapes do not reach every 4-gate function (a root reading two
+    gates that share a fanin, say); the synthesis driver proves those by
+    SAT.  Keys are disjoint from the <=3 table and from the literals.
+    """
+    if num_vars > _THREE_GATE_MAX_VARS:
+        raise ValueError(
+            f"composed witnesses are minimum only for n <= {_THREE_GATE_MAX_VARS}"
+        )
+    n = num_vars
+    small = optimal_small_migs(n)
+    by_size: dict[int, list[int]] = {1: [], 2: [], 3: []}
+    for tt, witness in small.items():
+        by_size[len(witness)].append(tt)
+    leaves, leaf_pairs = _leaf_operands(n)
+    leaf_tts = np.array([v for _, v in leaves], dtype=np.int64)
+    pair_a = np.array([va for (_, va), _ in leaf_pairs], dtype=np.int64)
+    pair_b = np.array([vb for _, (_, vb) in leaf_pairs], dtype=np.int64)
+    # known[tt]: a literal, in the <=3 table, or already composed
+    known = np.zeros(1 << (1 << n), dtype=bool)
+    known[leaf_tts] = True
+    known[np.array(list(small), dtype=np.int64)] = True
+    table: dict[int, Witness] = {}
+
+    def fresh(tts: np.ndarray):
+        """(truth table, first flat index) of each unknown entry of *tts*."""
+        values, first = np.unique(tts.ravel(), return_index=True)
+        new = ~known[values]
+        known[values[new]] = True
+        return zip(values[new].tolist(), first[new].tolist())
+
+    def shifted(ops: tuple[int, int, int]) -> tuple[int, int, int]:
+        """Re-reference the gate operands in *ops* one node later."""
+        return tuple(s + 2 if s >> 1 > n else s for s in ops)
+
+    g1_ref, g2_ref, g3_ref = (make_signal(n + i) for i in (1, 2, 3))
+    # (A) an exact-size-3 top plus two leaves
+    three = by_size[3]
+    tts = tt_maj(np.array(three, dtype=np.int64)[:, None], pair_a, pair_b)
+    for tt, i in fresh(tts):
+        (sa, _), (sb, _) = leaf_pairs[i % len(leaf_pairs)]
+        table[tt] = (*small[three[i // len(leaf_pairs)]], (g3_ref, sa, sb))
+    # (B) one 1-gate row at a time: a single 3-D broadcast costs memory
+    one, two = by_size[1], by_size[2]
+    two_tts = np.array(two, dtype=np.int64)[:, None]
+    for tt1 in one:
+        for tt, i in fresh(tt_maj(tt1, two_tts, leaf_tts)):
+            w1, w2 = small[two[i // len(leaves)]]
+            root = (g1_ref, g3_ref, leaves[i % len(leaves)][0])
+            table[tt] = (small[tt1][0], shifted(w1), shifted(w2), root)
+    # (C) unordered triples of 1-gate functions, one first member at a time
+    one_tts = np.array(one, dtype=np.int64)
+    for i1, tt1 in enumerate(one):
+        rest2, rest3 = np.triu_indices(len(one) - i1 - 1, 1)
+        rest2 += i1 + 1
+        rest3 += i1 + 1
+        for tt, i in fresh(tt_maj(tt1, one_tts[rest2], one_tts[rest3])):
+            table[tt] = (small[tt1][0], small[one[rest2[i]]][0],
+                         small[one[rest3[i]]][0], (g1_ref, g2_ref, g3_ref))
+    return table
+
+
 def optimal_mig_from_table(spec: int, num_vars: int) -> Mig | None:
     """Rebuild a provably minimum MIG for *spec* from the witness table.
 
-    Returns None when *spec* is not covered (its minimum size exceeds the
-    enumerated range).  Size-0 functions (constants and literals) are
-    also materialized here for completeness.
+    Consults the exhaustive <=3-gate table, then (for ``num_vars <= 4``)
+    the composed 4-gate witnesses.  Returns None when *spec* is covered by
+    neither.  Size-0 functions (constants and literals) are also
+    materialized here for completeness.
     """
     if spec < 0 or spec > tt_mask(num_vars):
         raise ValueError(f"spec 0x{spec:x} out of range for {num_vars} variables")
@@ -261,6 +360,8 @@ def optimal_mig_from_table(spec: int, num_vars: int) -> Mig | None:
         mig.add_po(trivial[spec], "f")
         return mig
     witness = optimal_small_migs(num_vars).get(spec)
+    if witness is None and num_vars <= _THREE_GATE_MAX_VARS:
+        witness = composed_four_gate_migs(num_vars).get(spec)
     if witness is None:
         return None
     mig = Mig(num_vars)

@@ -14,20 +14,33 @@ to 3):
 * ``s[c][l][i]``— one-hot selector: operand ``c`` of gate ``l`` connects
   to node ``i`` where ``i = 0`` is the constant, ``1..n`` are primary
   inputs and ``n+1..n+l-1`` are previous gates                  (Eqs. 5-8)
-* ``p[c][l]``   — edge polarity (true = non-complemented)
+* ``q[c][l]``   — edge complement (true = complemented; the paper's
+  polarity ``p`` is its negation, so the solver's default phase tries
+  plain edges first)
 
 Constraints: majority semantics (Eq. 4), connection implications
-(Eqs. 6-8), the output row values (Eq. 9, with the output polarity fixed
-positive by self-duality, as the paper notes), and the operand-ordering
-symmetry break ``s1 < s2 < s3`` (Eq. 10).  We additionally require every
-non-root gate to be referenced by a later gate, which is sound when
-iterating ``k`` upward from 0 (a minimum MIG has no dead gates), and
-break the gate-permutation symmetry: when gate ``l + 1`` does not read
-gate ``l`` the two gates could be swapped, so we force their first
-operand selections to be non-decreasing.
-Any topological renumbering of a solution can be bubble-sorted into one
-satisfying every such adjacent-pair constraint, so satisfiability is
-preserved (validated exhaustively on all 3-variable functions).
+(Eqs. 6-8) and the output row values (Eq. 9).  Symmetry breaks:
+
+* the output polarity is fixed positive by self-duality, as the paper
+  notes;
+* operand ordering ``s1 < s2 < s3`` (Eq. 10);
+* every non-root gate is referenced by a later gate, which is sound when
+  iterating ``k`` upward from 0 (a minimum MIG has no dead gates);
+* gate permutation: when gate ``l + 1`` does not read gate ``l`` the two
+  gates could be swapped, so their first operand selections must be
+  non-decreasing.  Any topological renumbering of a solution can be
+  bubble-sorted into one satisfying every such adjacent-pair
+  constraint, so satisfiability is preserved (validated exhaustively on
+  all 3-variable functions);
+* polarity normalization: every non-root gate has at most one
+  complemented input.  Self-duality again: ``<a' b' c> = <a b c'>'``, so
+  a gate with two or three complemented inputs flips to one with at most
+  one, and each reader absorbs the output complement in its own edge
+  variable.  Normalizing gates in topological order only ever touches
+  the edges of later gates, and no selector, so every other break
+  survives.  The root is left free: its output polarity is already
+  fixed.  This cuts the ``k = 4`` refutation of ``0x01fe`` from 13,392
+  to 1,931 conflicts.
 
 Row constraints are added *lazily* to support counterexample-guided
 refinement (CEGAR): :meth:`ExactMigEncoding.solve_cegar` starts from a
@@ -60,8 +73,8 @@ class ExactMigEncoding:
     builder: CnfBuilder
     # select_vars[l][c][i] — one-hot selector literals.
     select_vars: list[list[list[int]]] = field(repr=False)
-    # polarity_vars[l][c]
-    polarity_vars: list[list[int]] = field(repr=False)
+    # complement_vars[l][c] — true when the edge is complemented.
+    complement_vars: list[list[int]] = field(repr=False)
     # output_vars[l][j] / operand_vars[l][c][j], populated per added row.
     output_vars: dict[int, list[int]] = field(repr=False, default_factory=dict)
     operand_vars: dict[int, list[list[int]]] = field(repr=False, default_factory=dict)
@@ -83,28 +96,28 @@ class ExactMigEncoding:
             builder.maj_gate(b_row[l], a_row[l][0], a_row[l][1], a_row[l][2])
             for c in range(3):
                 a = a_row[l][c]
-                p = self.polarity_vars[l][c]
+                q = self.complement_vars[l][c]
                 s0 = self.select_vars[l][c][0]
-                # Constant connection (Eq. 6): value = not p.
-                builder.add_clause([-s0, -a, -p])
-                builder.add_clause([-s0, a, p])
-                # Primary-input connection (Eq. 7): value = x_{i-1}(j) xor not p.
+                # Constant connection (Eq. 6): value = q.
+                builder.add_clause([-s0, -a, q])
+                builder.add_clause([-s0, a, -q])
+                # Primary-input connection (Eq. 7): value = x_{i-1}(j) xor q.
                 for i in range(1, n + 1):
                     s = self.select_vars[l][c][i]
                     if (j >> (i - 1)) & 1:
-                        builder.add_clause([-s, -a, p])
-                        builder.add_clause([-s, a, -p])
+                        builder.add_clause([-s, -a, -q])
+                        builder.add_clause([-s, a, q])
                     else:
-                        builder.add_clause([-s, -a, -p])
-                        builder.add_clause([-s, a, p])
-                # Gate connection (Eq. 8): value = b_i(j) xor not p.
+                        builder.add_clause([-s, -a, q])
+                        builder.add_clause([-s, a, -q])
+                # Gate connection (Eq. 8): value = b_i(j) xor q.
                 for i in range(1, l + 1):
                     s = self.select_vars[l][c][n + i]
                     b = b_row[i - 1]
-                    builder.add_clause([-s, -p, -b, a])
-                    builder.add_clause([-s, -p, b, -a])
-                    builder.add_clause([-s, p, -b, -a])
-                    builder.add_clause([-s, p, b, a])
+                    builder.add_clause([-s, q, -b, a])
+                    builder.add_clause([-s, q, b, -a])
+                    builder.add_clause([-s, -q, -b, -a])
+                    builder.add_clause([-s, -q, b, a])
         # Function semantics (Eq. 9), output polarity fixed positive.
         value = (self.spec >> j) & 1
         builder.add_unit(b_row[k - 1] if value else -b_row[k - 1])
@@ -189,7 +202,7 @@ class ExactMigEncoding:
                 if selected is None:
                     raise RuntimeError(f"gate {l + 1} operand {c + 1} has no selection")
                 signal = node_signals[selected]
-                if not builder.value(self.polarity_vars[l][c]):
+                if builder.value(self.complement_vars[l][c]):
                     signal = signal_not(signal)
                 operands.append(signal)
             node_signals.append(mig.maj(*operands))
@@ -229,7 +242,7 @@ def encode_exact_mig(
         [[builder.new_var() for _ in range(n + 1 + l)] for _ in range(3)]
         for l in range(k)
     ]
-    polarity_vars = [[builder.new_var() for _ in range(3)] for _ in range(k)]
+    complement_vars = [[builder.new_var() for _ in range(3)] for _ in range(k)]
 
     for l in range(k):
         num_options = n + 1 + l
@@ -242,6 +255,11 @@ def encode_exact_mig(
                     builder.add_clause(
                         [-select_vars[l][c][i1], -select_vars[l][c + 1][i2]]
                     )
+        if l < k - 1:
+            # Polarity normalization (module docstring): <a' b' c> =
+            # <a b c'>', so a non-root gate needs at most one complemented
+            # input; its readers absorb the output complement.
+            builder.at_most_one(complement_vars[l])
 
     # Every non-root gate must feed some later gate.
     for l in range(k - 1):
@@ -279,5 +297,5 @@ def encode_exact_mig(
         spec=spec,
         builder=builder,
         select_vars=select_vars,
-        polarity_vars=polarity_vars,
+        complement_vars=complement_vars,
     )

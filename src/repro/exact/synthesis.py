@@ -15,9 +15,12 @@ bound is available it is returned flagged ``proven=False``.
 Three refinements keep the size loop cheap:
 
 * functions covered by the exhaustive small-MIG witness table
-  (:func:`repro.exact.bounds.optimal_small_migs`) are answered directly —
-  the witness is rebuilt and returned proven without any SAT call,
-  recorded as ``"table"`` in ``k_outcomes``;
+  (:func:`repro.exact.bounds.optimal_small_migs`, sizes 1-3) or, for
+  ``n <= 4``, by the composed 4-gate witnesses
+  (:func:`repro.exact.bounds.composed_four_gate_migs`, proven minimum
+  because the first table is exhaustive) are answered directly — the
+  witness is rebuilt and returned proven without any SAT call, recorded
+  as ``"table"`` in ``k_outcomes``;
 * otherwise the loop starts at
   :func:`repro.exact.bounds.mig_size_lower_bound` instead of ``k = 1``;
   sizes below the bound are recorded as ``"skipped"`` in ``k_outcomes``

@@ -96,6 +96,10 @@ class Solver:
         self._reason: list[list[int] | None] = [None]
         self._activity: list[float] = [0.0]
         self._phase: list[bool] = [False]
+        # Conflict-analysis marks, all False between _analyze calls: each
+        # call clears only the variables it marked, so a conflict costs
+        # O(its clauses), not O(#vars).
+        self._seen: list[bool] = [False]
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
@@ -133,6 +137,7 @@ class Solver:
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
+        self._seen.append(False)
         return self.num_vars
 
     def new_vars(self, count: int) -> list[int]:
@@ -352,7 +357,7 @@ class Solver:
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
         counter = 0
         lit = 0
         index = len(self._trail) - 1
@@ -392,11 +397,16 @@ class Solver:
         for q in learnt[1:]:
             abstract_levels |= 1 << (self._level[abs(q)] & 31)
         minimized = [learnt[0]]
+        marked: list[int] = []  # variables _lit_redundant leaves marked
         for q in learnt[1:]:
             if self._reason[abs(q)] is None or not self._lit_redundant(
-                q, seen, abstract_levels
+                q, abstract_levels, marked
             ):
                 minimized.append(q)
+        for q in learnt[1:]:
+            seen[abs(q)] = False
+        for var in marked:
+            seen[var] = False
         learnt = minimized
 
         # Compute backtrack level.
@@ -411,7 +421,8 @@ class Solver:
             back_level = self._level[abs(learnt[1])]
         return learnt, back_level
 
-    def _lit_redundant(self, lit: int, seen: list[bool], abstract_levels: int) -> bool:
+    def _lit_redundant(self, lit: int, abstract_levels: int, marked: list[int]) -> bool:
+        seen = self._seen
         stack = [lit]
         cleared: list[int] = []
         while stack:
@@ -436,6 +447,7 @@ class Solver:
                     for v in cleared:
                         seen[v] = False
                     return False
+        marked.extend(cleared)
         return True
 
     def _bump_var(self, var: int) -> None:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.truth_table import tt_mask, tt_var
 from repro.exact.bounds import (
+    composed_four_gate_migs,
     mig_size_lower_bound,
     optimal_mig_from_table,
     optimal_small_migs,
@@ -96,7 +97,7 @@ class TestSmallMigTable:
             assert mig.num_gates == len(witness)
 
     def test_three_var_sizes_match_sat(self):
-        """Table sizes agree with SAT-only synthesis on every 3-var class.
+        """Both tables' sizes agree with SAT-only synthesis on every 3-var class.
 
         Combined with the NPN closure of minimum size this covers all 256
         functions; the exhaustive non-class check ran during development.
@@ -104,15 +105,17 @@ class TestSmallMigTable:
         from repro.core.npn import enumerate_npn_classes
 
         table = optimal_small_migs(3)
+        composed = composed_four_gate_migs(3)
         for rep in enumerate_npn_classes(3):
             result = _sat_only().synthesize(rep, 3)
             assert result.proven
             if result.size == 0:
-                assert rep not in table
+                assert rep not in table and rep not in composed
             elif result.size <= 3:
                 assert len(table[rep]) == result.size, hex(rep)
             else:
                 assert rep not in table, hex(rep)
+                assert len(composed[rep]) == result.size, hex(rep)
 
     def test_four_var_witnesses_simulate(self):
         table = optimal_small_migs(4)
@@ -151,6 +154,47 @@ class TestSmallMigTable:
     def test_out_of_range_spec(self):
         with pytest.raises(ValueError):
             optimal_mig_from_table(1 << 16, 4)
+
+
+def _literals(num_vars):
+    mask = tt_mask(num_vars)
+    lits = {0, mask}
+    for i in range(num_vars):
+        lits |= {tt_var(num_vars, i), tt_var(num_vars, i) ^ mask}
+    return lits
+
+
+class TestComposedFourGate:
+    def test_three_vars_complete(self):
+        """The <=3 table and the composed table answer all 248 functions."""
+        small = optimal_small_migs(3)
+        composed = composed_four_gate_migs(3)
+        answered = set(small) | set(composed)
+        assert answered == set(range(256)) - _literals(3)
+        assert len(composed) == 96
+
+    @pytest.mark.parametrize("num_vars", [3, 4])
+    def test_witnesses_have_four_gates_and_simulate(self, num_vars):
+        composed = composed_four_gate_migs(num_vars)
+        for spec, witness in composed.items():
+            assert len(witness) == 4
+            mig = optimal_mig_from_table(spec, num_vars)
+            assert mig.num_gates == 4, hex(spec)
+            assert mig.simulate()[0] == spec, hex(spec)
+
+    @pytest.mark.parametrize("num_vars", [2, 3, 4])
+    def test_keys_disjoint_from_small_table_and_literals(self, num_vars):
+        composed = set(composed_four_gate_migs(num_vars))
+        assert not composed & set(optimal_small_migs(num_vars))
+        assert not composed & _literals(num_vars)
+
+    def test_four_var_coverage(self):
+        # 9,312 functions: 37 of the 42 size-4 NPN classes
+        assert len(composed_four_gate_migs(4)) == 9312
+
+    def test_rejected_past_four_vars(self):
+        with pytest.raises(ValueError):
+            composed_four_gate_migs(5)
 
 
 class TestLowerBound:

@@ -75,3 +75,14 @@ class TestSymmetryBreaking:
         for node in mig.gates():
             nodes = [s >> 1 for s in mig.fanins(node)]
             assert len(set(nodes)) == 3
+
+    @pytest.mark.parametrize("spec,num_vars,k", [
+        (0x96, 3, 4), (0x69, 3, 4), (0x17, 3, 1), (0x0016, 4, 4), (0x01fe, 4, 5),
+    ])
+    def test_non_root_gates_have_at_most_one_complemented_input(self, spec, num_vars, k):
+        enc = encode_exact_mig(spec, num_vars, k)
+        assert enc.solve_cegar() is True
+        for l in range(k - 1):
+            flips = [enc.builder.value(q) for q in enc.complement_vars[l]]
+            assert sum(flips) <= 1, (hex(spec), l, flips)
+        assert enc.extract_mig().simulate()[0] == spec

@@ -108,6 +108,22 @@ class TestUpperBounds:
         assert result.proven
         assert result.conflicts == 0
 
+    def test_composed_witness_answers_size_four(self):
+        # 0x0069 is outside the <=3-gate table but in the composed one
+        result = synthesize_exact(0x0069, 4)
+        assert result.k_outcomes[4] == "table"
+        assert result.size == 4 and result.proven
+        assert result.conflicts == 0
+        assert result.mig.simulate()[0] == 0x0069
+
+    def test_deep_size_five_proof_fits_small_budget(self):
+        # The k=4 refutation of 0x01fe took 13k conflicts before the
+        # non-root polarity normalization.
+        result = synthesize_exact(0x01FE, 4, conflict_budget=5000)
+        assert result.proven and result.size == 5
+        assert result.k_outcomes[4] == "unsat"
+        assert result.mig.simulate()[0] == 0x01FE
+
     def test_k_outcomes_unsat_without_lower_bound(self):
         synthesizer = ExactSynthesizer(use_lower_bound=False)
         result = synthesizer.synthesize(tt_var(2, 0) ^ tt_var(2, 1), 2)

@@ -163,3 +163,12 @@ class TestStatistics:
         s.solve()
         assert s.conflicts > 0
         assert s.propagations > 0
+
+    def test_analysis_marks_cleared_between_conflicts(self):
+        # Conflict analysis reuses one mark array and clears only what it
+        # marked; a stale mark would silently change later learnt clauses.
+        s = pigeonhole(5)
+        assert s.solve() is UNSAT
+        assert s.conflicts > 0
+        assert not any(s._seen)
+        assert len(s._seen) == s.num_vars + 1
