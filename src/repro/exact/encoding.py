@@ -39,8 +39,7 @@ Constraints: majority semantics (Eq. 4), connection implications
   variable.  Normalizing gates in topological order only ever touches
   the edges of later gates, and no selector, so every other break
   survives.  The root is left free: its output polarity is already
-  fixed.  This cuts the ``k = 4`` refutation of ``0x01fe`` from 13,392
-  to 1,931 conflicts.
+  fixed.
 
 Row constraints are added *lazily* to support counterexample-guided
 refinement (CEGAR): :meth:`ExactMigEncoding.solve_cegar` starts from a

@@ -77,7 +77,7 @@ class TestSymmetryBreaking:
             assert len(set(nodes)) == 3
 
     @pytest.mark.parametrize("spec,num_vars,k", [
-        (0x96, 3, 4), (0x69, 3, 4), (0x17, 3, 1), (0x0016, 4, 4), (0x01fe, 4, 5),
+        (0x96, 3, 4), (0x69, 3, 4), (0x001e, 4, 4), (0x0016, 4, 4), (0x01fe, 4, 5),
     ])
     def test_non_root_gates_have_at_most_one_complemented_input(self, spec, num_vars, k):
         enc = encode_exact_mig(spec, num_vars, k)
